@@ -20,7 +20,7 @@ ENGINE_COVER_FLOOR ?= 75
 API_PKGS ?= .,wire,client
 API_GOLDEN ?= api/API.txt
 
-.PHONY: all build test race bench bench-save bench-diff bench-gate cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate ci
+.PHONY: all build test race bench bench-selftest bench-save bench-diff bench-gate cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate ci
 
 all: build test
 
@@ -37,6 +37,11 @@ race:
 # never bit-rot; full measurement runs drop -benchtime=1x.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Vet and test the nested trustbench module, which go test ./... skips
+# but which compiles against the Store and shard.Backend APIs.
+bench-selftest:
+	cd trustbench && $(GO) vet ./... && $(GO) test ./...
 
 # Record a new benchmark baseline (text for benchstat, JSON for the
 # BENCH_* trajectory). Commit the results.

@@ -347,7 +347,7 @@ func BenchmarkSessionMutateResolve(b *testing.B) {
 		}
 	}
 	n.AddTrust("probe", "u0", 50) // leaf reader: revoking it dirties little
-	s, err := n.newSession(sessionOptions{Workers: 1})
+	s, err := n.newSession(storeConfig{workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func BenchmarkServeMixed(b *testing.B) {
 	run := func(b *testing.B, rwBaseline bool) {
 		n, roots, edges := build()
 		script := workload.MixedServe(rand.New(rand.NewSource(23)), roots, domain, edges, 4096, 16, 4, 32)
-		s, err := n.newSession(sessionOptions{Workers: 1})
+		s, err := n.newSession(storeConfig{workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -559,10 +559,10 @@ func BenchmarkServeMixed(b *testing.B) {
 					if rwBaseline {
 						lock.Lock()
 					}
-					err := s.Update(func(tx *sessionTx) error {
+					err := s.Update(func() error {
 						for _, tg := range op.Toggles {
-							if ok, _ := tx.RemoveTrust(tg.Truster, tg.Trusted); !ok {
-								if err := tx.AddTrust(tg.Truster, tg.Trusted, tg.Priority); err != nil {
+							if !s.removeTrustLocked(tg.Truster, tg.Trusted) {
+								if err := s.addTrustLocked(tg.Truster, tg.Trusted, tg.Priority); err != nil {
 									return err
 								}
 							}

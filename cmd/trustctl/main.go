@@ -200,7 +200,7 @@ func runBulkPar(w io.Writer, netFile, objFile string, workers int, users string)
 	if err != nil {
 		return err
 	}
-	report, err := reportUsers(n, users)
+	report, err := reportUsers(st.Users(), users)
 	if err != nil {
 		return err
 	}
@@ -274,7 +274,7 @@ func runSession(w io.Writer, netFile, objFile, mutFile string, workers int, user
 			return err
 		}
 	}
-	report, err := reportUsers(n, users)
+	report, err := reportUsers(st.Users(), users)
 	if err != nil {
 		return err
 	}
@@ -439,9 +439,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// reportUsers resolves the -users flag against the network's user set.
-func reportUsers(n *trustmap.Network, users string) ([]string, error) {
-	report := n.Users()
+// reportUsers resolves the -users flag against the store's user set,
+// which includes users first registered by objects or WithExtraRoots.
+func reportUsers(report []string, users string) ([]string, error) {
 	if users == "" {
 		return report, nil
 	}

@@ -140,6 +140,20 @@ func TestRunBulkPar(t *testing.T) {
 	if err := runBulkPar(&out, netPath, "/nonexistent.json", 1, ""); err == nil {
 		t.Error("missing objects file must error")
 	}
+	// A user the objects name but the network file does not becomes a
+	// root of the store and stays reportable.
+	ghostPath := filepath.Join(t.TempDir(), "ghost.json")
+	ghost := `{"glyph3": {"Bob": "cow", "Charlie": "jar", "Dave": "totem"}}`
+	if err := os.WriteFile(ghostPath, []byte(ghost), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := runBulkPar(&out, netPath, ghostPath, 1, "Dave"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "glyph3           Dave             totem") {
+		t.Errorf("missing row for object-only user Dave:\n%s", out.String())
+	}
 }
 
 func TestRunErrors(t *testing.T) {

@@ -148,10 +148,7 @@ type DurabilityStats struct {
 // NewStore; WithDurability picks the fsync discipline (default
 // DurabilityBatch).
 func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
-	var c storeConfig
-	for _, o := range opts {
-		o(&c)
-	}
+	c := newConfig(opts)
 	d := &durable{dir: dir, mode: c.durability}
 
 	snap, _, err := snapshot.Latest(d.snapDir())
@@ -273,7 +270,7 @@ func (s *Store) replayBatch(b wire.OpBatch, applied, errs *uint64) {
 				}
 			}
 			return nil
-		})
+		}, nil)
 		if uerr != nil {
 			*errs++
 		}
@@ -464,7 +461,7 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 // exportLocked freezes the full store state into a snapshot file.
 // Callers hold d.mu, so no mutator is in flight; readers are unaffected.
 func (s *Store) exportLocked(lsn uint64) *snapshot.File {
-	inner := s.net.inner
+	inner := s.sess.net.inner
 	f := &snapshot.File{
 		Schema:  wire.SchemaVersion,
 		Epoch:   s.Epoch(),

@@ -12,9 +12,10 @@ package trustmap
 // current by translating facade mutations into binarized ones. Mutations
 // that would restructure the binarization (a user crossing the two-parent
 // threshold, belief changes on heavily-mapped users) mark the session for
-// a full rebuild, which the next publication performs transparently; so
-// does mutating the underlying Network directly instead of through the
-// session (detected by the network's version counter).
+// a full rebuild, which the next publication performs transparently.
+//
+// The session is the only owner of its facade network (Network.NewStore
+// hands it a private copy), so every mutation arrives through it.
 //
 // # Concurrency
 //
@@ -31,12 +32,6 @@ package trustmap
 // publication. Retired epochs stay valid for the readers still pinning
 // them (engine.Apply builds successors copy-on-write) and are reclaimed
 // once their reader count drains.
-//
-// The one remaining single-goroutine caveat is the facade Network itself:
-// mutating it directly (not through the session) while session reads or
-// writes are in flight is a data race, exactly as it was before sessions
-// existed. Sequential out-of-session mutation remains supported and is
-// detected by the version counter at the next session operation.
 
 import (
 	"context"
@@ -49,25 +44,6 @@ import (
 	"trustmap/internal/serve"
 	"trustmap/internal/tn"
 )
-
-// sessionOptions configures newSession.
-type sessionOptions struct {
-	// Workers is the worker-pool size for resolves. Zero means GOMAXPROCS.
-	Workers int
-	// ExtraRoots names users whose beliefs vary per object even though the
-	// network states no belief for them (they are registered if unknown).
-	// Users given a belief via SetBelief are roots automatically.
-	ExtraRoots []string
-	// MaxDirtyFraction is the dirty-region share above which the engine
-	// recompiles from scratch instead of splicing (0 = engine default).
-	MaxDirtyFraction float64
-	// DisableDedup turns off signature deduplication for the session's
-	// resolves. The default dedups: objects sharing one root-assignment
-	// signature resolve once per artifact generation — the signature cache
-	// survives across BulkResolve calls and value-only mutations, and is
-	// invalidated by structural ones. See BulkResolution.DedupStats.
-	DisableDedup bool
-}
 
 // SessionStats counts what the session's maintenance has done, as of the
 // epoch the stats were read from.
@@ -146,20 +122,11 @@ type session struct {
 	rootNode   map[int]int      // original root ID -> binarized node carrying its belief
 	extraRoots []int            // original IDs of extra roots, in registration order
 	extraSet   map[int]struct{} // membership index over extraRoots
-	// version is the highest inner-network version the session has
-	// accounted for: stored (under mu) the moment a session mutation lands,
-	// before it is published. Readers compare it against the network's
-	// atomic version counter to tell out-of-session mutations (which need a
-	// rebuild) from in-flight session writes (whose publication is coming;
-	// the current epoch stays correct to serve) — atomically, so the probe
-	// never takes the writer lock.
-	version atomic.Uint64
 	// pubStale flips when a publication failed (a rebuild error after a
 	// mutation landed): the current epoch no longer reflects the session
 	// state and bool-returning mutation methods had no way to say so.
-	// Readers observing it upgrade to Refresh, which retries the rebuild
-	// and surfaces the error — mutation failures are never silently
-	// absorbed into stale serving.
+	// Readers observing it retry the publication and surface the error —
+	// mutation failures are never silently absorbed into stale serving.
 	pubStale    atomic.Bool
 	needRebuild bool
 	rootsDirty  bool // rootNode or a default belief changed since the last snapshot
@@ -168,23 +135,17 @@ type session struct {
 }
 
 // newSession validates and compiles the network once and returns a handle
-// that keeps the compiled artifact live across mutations. Mutate through
-// the session's methods to stay on the incremental path; mutating the
-// Network directly is detected and handled by a full rebuild at the next
-// session operation, but is not safe concurrently with session use.
-//
-// Deprecated: use Network.NewStore. A Store wraps a session and adds the
-// object table, per-object result caching, and streaming reads; session
-// remains supported as the engine room underneath.
-func (n *Network) newSession(opts sessionOptions) (*session, error) {
+// that keeps the compiled artifact live across mutations. The session
+// takes n over: nothing else may use n afterwards.
+func (n *Network) newSession(c storeConfig) (*session, error) {
 	s := &session{
 		net:      n,
-		workers:  opts.Workers,
-		maxDirty: opts.MaxDirtyFraction,
-		noDedup:  opts.DisableDedup,
+		workers:  c.workers,
+		maxDirty: c.maxDirty,
+		noDedup:  c.noDedup,
 	}
-	s.extraSet = make(map[int]struct{}, len(opts.ExtraRoots))
-	for _, name := range opts.ExtraRoots {
+	s.extraSet = make(map[int]struct{}, len(c.extraRoots))
+	for _, name := range c.extraRoots {
 		s.addExtraRootLocked(n.inner.AddUser(name))
 	}
 	if err := s.rebuild(); err != nil {
@@ -227,7 +188,6 @@ func (s *session) rebuild() error {
 	}
 	s.needRebuild = false
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	s.stats.Compiles++
 	return nil
 }
@@ -384,29 +344,8 @@ func (s *session) EpochStats() (SessionStats, engine.Stats) {
 
 // Epoch returns the sequence number of the currently published epoch. It
 // increases by one per publication (every effective mutation, batch, or
-// refresh).
+// replan).
 func (s *session) Epoch() uint64 { return s.pub.Seq() }
-
-// Refresh folds mutations made directly on the underlying Network (not
-// through the session) into a fresh epoch. Resolves call it implicitly
-// when they detect version skew; it is exported for callers that want the
-// rebuild to happen at a time of their choosing. Not safe concurrently
-// with direct Network mutation — sequence external mutations and Refresh
-// on one goroutine.
-func (s *session) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncCheck()
-	return s.publishLocked()
-}
-
-// syncCheck marks the session stale when the underlying network was
-// mutated outside the session since the last operation. Callers hold mu.
-func (s *session) syncCheck() {
-	if s.net.inner.Version() != s.version.Load() {
-		s.needRebuild = true
-	}
-}
 
 // binID maps an original user ID to its binarized node.
 func (s *session) binID(x int) int {
@@ -430,7 +369,6 @@ func (s *session) AddTrust(truster, trusted string, priority int) error {
 }
 
 func (s *session) addTrustLocked(truster, trusted string, priority int) error {
-	s.syncCheck()
 	if truster == trusted {
 		return fmt.Errorf("trustmap: user %q cannot trust itself", truster)
 	}
@@ -445,7 +383,6 @@ func (s *session) addTrustLocked(truster, trusted string, priority int) error {
 	pre := append([]tn.Mapping(nil), s.net.inner.In(t)...)
 	k := len(pre)
 	s.net.inner.AddMapping(z, t, priority)
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return nil
 	}
@@ -501,7 +438,6 @@ func (s *session) RemoveTrust(truster, trusted string) (bool, error) {
 }
 
 func (s *session) removeTrustLocked(truster, trusted string) bool {
-	s.syncCheck()
 	t, z := s.net.inner.UserID(truster), s.net.inner.UserID(trusted)
 	if t < 0 || z < 0 {
 		return false
@@ -511,7 +447,6 @@ func (s *session) removeTrustLocked(truster, trusted string) bool {
 	if !s.net.inner.RemoveMapping(z, t) {
 		return false
 	}
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return true
 	}
@@ -552,7 +487,6 @@ func (s *session) UpdateTrust(truster, trusted string, priority int) (bool, erro
 }
 
 func (s *session) updateTrustLocked(truster, trusted string, priority int) bool {
-	s.syncCheck()
 	t, z := s.net.inner.UserID(truster), s.net.inner.UserID(trusted)
 	if t < 0 || z < 0 {
 		return false
@@ -561,7 +495,6 @@ func (s *session) updateTrustLocked(truster, trusted string, priority int) bool 
 	if !s.net.inner.SetMappingPriority(z, t, priority) {
 		return false
 	}
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return true
 	}
@@ -603,7 +536,6 @@ func (s *session) SetBelief(user, value string) error {
 }
 
 func (s *session) setBeliefLocked(user, value string) error {
-	s.syncCheck()
 	if value == "" {
 		return fmt.Errorf("trustmap: empty value; use RemoveBelief to revoke")
 	}
@@ -611,7 +543,6 @@ func (s *session) setBeliefLocked(user, value string) error {
 	k := len(s.net.inner.In(x))
 	s.net.inner.SetExplicit(x, tn.Value(value))
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return nil
 	}
@@ -645,7 +576,6 @@ func (s *session) RemoveBelief(user string) error {
 }
 
 func (s *session) removeBeliefLocked(user string) {
-	s.syncCheck()
 	x := s.net.inner.UserID(user)
 	if x < 0 || !s.net.inner.HasExplicit(x) {
 		return
@@ -653,7 +583,6 @@ func (s *session) removeBeliefLocked(user string) {
 	k := len(s.net.inner.In(x))
 	s.net.inner.SetExplicit(x, tn.NoValue)
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return
 	}
@@ -683,68 +612,25 @@ func (s *session) removeBeliefLocked(user string) {
 	}
 }
 
-// sessionTx applies several mutations as one batch inside session.Update.
-// Its methods mirror the session's mutation methods but defer publication
-// to the end of the batch.
-type sessionTx struct {
-	s *session
-}
-
-// AddTrust is session.AddTrust without the per-mutation publication.
-func (tx *sessionTx) AddTrust(truster, trusted string, priority int) error {
-	return tx.s.addTrustLocked(truster, trusted, priority)
-}
-
-// RemoveTrust is session.RemoveTrust without the per-mutation publication.
-// The error mirrors the session method's shape; inside a batch it is
-// always nil (publication errors surface from Update itself).
-func (tx *sessionTx) RemoveTrust(truster, trusted string) (bool, error) {
-	return tx.s.removeTrustLocked(truster, trusted), nil
-}
-
-// UpdateTrust is session.UpdateTrust without the per-mutation publication.
-// The error mirrors the session method's shape; inside a batch it is
-// always nil (publication errors surface from Update itself).
-func (tx *sessionTx) UpdateTrust(truster, trusted string, priority int) (bool, error) {
-	return tx.s.updateTrustLocked(truster, trusted, priority), nil
-}
-
-// SetBelief is session.SetBelief without the per-mutation publication.
-func (tx *sessionTx) SetBelief(user, value string) error {
-	return tx.s.setBeliefLocked(user, value)
-}
-
-// RemoveBelief is session.RemoveBelief without the per-mutation
-// publication. The error mirrors the session method's shape; inside a
-// batch it is always nil.
-func (tx *sessionTx) RemoveBelief(user string) error {
-	tx.s.removeBeliefLocked(user)
-	return nil
-}
-
 // Update applies a batch of mutations and publishes one epoch at the end:
 // concurrent readers observe either the whole batch or none of it, and
-// the engine folds the batch's journal in one Apply. fn's error is
-// returned but does not roll the batch back — mutations applied before
-// the error are published (the facade has no transactional undo); fn
-// should treat errors from tx methods the way it would treat them from
-// the session's own methods. tx must not be used after fn returns.
-func (s *session) Update(fn func(tx *sessionTx) error) (err error) {
+// the engine folds the batch's journal in one Apply. fn runs under the
+// writer lock and mutates through the session's *Locked methods. fn's
+// error is returned but does not roll the batch back — mutations applied
+// before the error are published (the facade has no transactional undo).
+func (s *session) Update(fn func() error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tx := &sessionTx{s: s}
 	// Publish in a defer so a panic in fn still publishes the applied
 	// prefix while unwinding: otherwise a recovered panic (net/http
-	// recovers handler panics) would leave the version counters in sync
-	// with mutations no epoch reflects, and readers would silently serve
-	// the pre-batch snapshot.
+	// recovers handler panics) would leave mutations applied that no epoch
+	// reflects, and readers would silently serve the pre-batch snapshot.
 	defer func() {
-		tx.s = nil
 		if perr := s.publishLocked(); err == nil {
 			err = perr
 		}
 	}()
-	return fn(tx)
+	return fn()
 }
 
 // hoistBelief moves x's explicit belief onto a fresh helper root wired
@@ -795,10 +681,9 @@ func (s *session) addExtraRootLocked(x int) {
 }
 
 // flushLocked folds pending binarized mutations into the compiled
-// artifact — rebuilding from scratch when a structural mutation or an
-// out-of-session change demands it. Callers hold mu.
+// artifact — rebuilding from scratch when a structural mutation demands
+// it. Callers hold mu.
 func (s *session) flushLocked() error {
-	s.syncCheck()
 	if s.needRebuild {
 		return s.rebuild()
 	}
@@ -809,7 +694,10 @@ func (s *session) flushLocked() error {
 	next, st, err := s.comp.Apply(muts, engine.ApplyOptions{MaxDirtyFraction: s.maxDirty})
 	if err != nil {
 		// The translation produced something the engine will not splice;
-		// recover with a rebuild rather than failing the publication.
+		// recover with a rebuild rather than failing the publication. The
+		// journal is drained, so a failed rebuild must stay pending for
+		// the pubStale retry.
+		s.needRebuild = true
 		return s.rebuild()
 	}
 	s.stats.LastApply = st
@@ -825,19 +713,15 @@ func (s *session) flushLocked() error {
 	return nil
 }
 
-// snapshot pins the epoch a read should serve from. The staleness probe
-// compares the network's atomic version counter against the highest
-// version the session has accounted for — NOT against the pinned
-// epoch's version, which lags during an in-flight session write; an
-// in-flight write's publication is coming, so the current epoch stays
-// correct to serve and the read never touches the writer lock. Only a
-// mutation made directly on the Network (not through the session)
-// leaves the counters apart, and only then does the read upgrade to a
-// writer, rebuild, and publish first — preserving the sequential
-// out-of-session contract.
+// snapshot pins the epoch a read should serve from. A read that finds
+// the last publication failed (pubStale) retries it under the writer lock
+// first, so the failure surfaces as an error instead of stale serving.
 func (s *session) snapshot() (*serve.Epoch[*sessionSnap], error) {
-	if s.net.inner.Version() != s.version.Load() || s.pubStale.Load() {
-		if err := s.Refresh(); err != nil {
+	if s.pubStale.Load() {
+		s.mu.Lock()
+		err := s.publishLocked()
+		s.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -904,7 +788,7 @@ func resolveSnap(ctx context.Context, e *serve.Epoch[*sessionSnap], objects map[
 }
 
 // addObjectRoots registers users whose beliefs will vary per object after
-// compilation, like sessionOptions.ExtraRoots but on a live session: the
+// compilation, like WithExtraRoots but on a live session: the
 // Store's PutBelief/PutObject path. Users that are already roots (declared
 // extras or belief holders) only gain the extra-root protection — their
 // carrier survives a later RemoveBelief — without a replan; genuinely new
@@ -914,7 +798,6 @@ func resolveSnap(ctx context.Context, e *serve.Epoch[*sessionSnap], objects map[
 func (s *session) addObjectRoots(names ...string) (added []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.syncCheck()
 	for _, name := range names {
 		x := s.net.inner.AddUser(name)
 		if s.isExtraRoot(x) {
@@ -926,48 +809,21 @@ func (s *session) addObjectRoots(names ...string) (added []string, err error) {
 			s.needRebuild = true // the plan gains a root: replan required
 		}
 	}
-	// AddUser on unseen names bumps the network version; claim it as an
-	// in-session mutation so readers do not mistake it for external skew.
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return added, s.publishLocked()
 	}
 	return added, nil
 }
 
-// ObjectResolution is the single-object view returned by session.Resolve.
-type ObjectResolution struct {
-	bulk *BulkResolution
-}
-
-// Resolve resolves one object's root beliefs against the currently
+// Resolve resolves one ad-hoc object's root beliefs against the currently
 // published epoch: the mutate-then-resolve fast path. beliefs may be nil
-// when every root has a network-level belief.
-func (s *session) Resolve(ctx context.Context, beliefs map[string]string) (*ObjectResolution, error) {
-	r, err := s.BulkResolve(ctx, map[string]map[string]string{"object": beliefs})
+// when every root has a network-level belief. The row's Object is the
+// placeholder key "object" the ad-hoc batch is resolved under.
+func (s *session) Resolve(ctx context.Context, beliefs map[string]string) (ObjectRow, error) {
+	const key = "object"
+	r, err := s.BulkResolve(ctx, map[string]map[string]string{key: beliefs})
 	if err != nil {
-		return nil, err
+		return ObjectRow{}, err
 	}
-	return &ObjectResolution{bulk: r}, nil
+	return ObjectRow{Object: key, res: r}, nil
 }
-
-// Possible returns the values the user holds in at least one stable
-// solution for the resolved object, sorted.
-func (o *ObjectResolution) Possible(user string) []string {
-	return o.bulk.Possible(user, "object")
-}
-
-// Certain returns the value the user holds in every stable solution of
-// the resolved object. ok is false when there is none.
-func (o *ObjectResolution) Certain(user string) (string, bool) {
-	return o.bulk.Certain(user, "object")
-}
-
-// Lookup is Possible and Certain with lookup failures made explicit: an
-// unknown user answers an error wrapping ErrUnknownUser.
-func (o *ObjectResolution) Lookup(user string) (possible []string, certain string, err error) {
-	return o.bulk.Lookup(user, "object")
-}
-
-// Epoch returns the publication generation that served the resolve.
-func (o *ObjectResolution) Epoch() uint64 { return o.bulk.Epoch() }

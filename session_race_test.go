@@ -28,7 +28,7 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 	n.AddTrust("relay", "rootOne", 10)
 	n.AddTrust("chainB", "relay", 10)
 	n.AddTrust("chainC", "chainB", 10)
-	s, err := n.newSession(sessionOptions{Workers: 1, MaxDirtyFraction: 1})
+	s, err := n.newSession(storeConfig{workers: 1, maxDirty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 			if i%2 == 1 {
 				from, to = to, from
 			}
-			err := s.Update(func(tx *sessionTx) error {
-				if ok, _ := tx.RemoveTrust("relay", from); !ok {
+			err := s.Update(func() error {
+				if !s.removeTrustLocked("relay", from) {
 					return fmt.Errorf("batch %d: edge relay->%s missing", i, from)
 				}
-				return tx.AddTrust("relay", to, 10)
+				return s.addTrustLocked("relay", to, 10)
 			})
 			if err != nil {
 				t.Error(err)
@@ -120,7 +120,7 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 	n := New()
 	n.SetBelief("hub", "v")
 	n.AddTrust("spoke", "hub", 5)
-	s, err := n.newSession(sessionOptions{Workers: 1})
+	s, err := n.newSession(storeConfig{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestSessionLifecycle(t *testing.T) {
 	n.SetBelief("carol", "knot")
 	// MaxDirtyFraction 1 keeps even this tiny demo network on the
 	// incremental path (the default threshold would recompile it whole).
-	s, err := n.newSession(sessionOptions{Workers: 2, MaxDirtyFraction: 1})
+	s, err := n.newSession(storeConfig{workers: 2, maxDirty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSessionRandomizedParityWithFresh(t *testing.T) {
 			}
 			n.SetBelief(name(rng.Intn(nUsers)), "v0")
 			extras := []string{name(rng.Intn(nUsers))}
-			s, err := n.newSession(sessionOptions{Workers: 1 + rng.Intn(4), ExtraRoots: extras})
+			s, err := n.newSession(storeConfig{workers: 1 + rng.Intn(4), extraRoots: extras})
 			if err != nil {
 				// Random graphs can violate Validate (duplicate trust from
 				// the generator); skip those seeds.
@@ -203,7 +203,7 @@ func TestSessionGrowsUsers(t *testing.T) {
 	n := New()
 	n.AddTrust("reader", "curatorA", 10) // curatorA gets a hoisted helper
 	n.SetBelief("curatorA", "fish")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.newSession(storeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,34 +227,13 @@ func TestSessionGrowsUsers(t *testing.T) {
 	}
 }
 
-// TestSessionExternalMutationTriggersRebuild mutates the network behind
-// the session's back; the next resolve must detect the version skew and
-// rebuild instead of serving stale results.
-func TestSessionExternalMutationTriggersRebuild(t *testing.T) {
-	n := New()
-	n.AddTrust("a", "b", 10)
-	n.SetBelief("b", "v1")
-	s, err := n.newSession(sessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.AddTrust("a", "c", 20) // behind the session's back
-	n.SetBelief("c", "v2")
-	assertSessionMatchesFresh(t, "external", n, s, map[string]map[string]string{
-		"k": {"b": "x", "c": "y"},
-	})
-	if s.Stats().Compiles < 2 {
-		t.Errorf("compiles=%d want >= 2 (external mutation forces rebuild)", s.Stats().Compiles)
-	}
-}
-
 // TestSessionValueOnlyUpdateIsFree checks that changing a belief's value
 // keeps the whole plan (no incremental apply, no recompile).
 func TestSessionValueOnlyUpdateIsFree(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v1")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.newSession(storeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +261,7 @@ func TestSessionRejectsMisuse(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.newSession(storeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

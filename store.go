@@ -51,6 +51,7 @@ import (
 )
 
 // storeConfig collects the functional options of NewStore and OpenStore.
+// The in-memory fields configure the store's session (newSession).
 type storeConfig struct {
 	workers    int
 	noDedup    bool
@@ -61,6 +62,15 @@ type storeConfig struct {
 
 // StoreOption configures NewStore and OpenStore.
 type StoreOption func(*storeConfig)
+
+// newConfig applies opts to the zero config.
+func newConfig(opts []StoreOption) storeConfig {
+	var c storeConfig
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
 
 // WithWorkers sets the worker-pool size for resolves. Zero or negative
 // means GOMAXPROCS.
@@ -99,10 +109,9 @@ type storeCached struct {
 }
 
 // Store owns a trust network and the per-object beliefs resolved against
-// it. Create with NewStore (fresh network) or Network.NewStore (adopting
-// an existing facade network). Safe for concurrent use.
+// it. Create with NewStore (fresh network) or Network.NewStore (a copy of
+// a facade-built network). Safe for concurrent use.
 type Store struct {
-	net  *Network
 	sess *session
 
 	// dur is the persistence side (durable.go): nil for in-memory stores
@@ -122,36 +131,27 @@ type Store struct {
 // objects, no persistence. Build state through the mutators; use
 // OpenStore for a store that survives restarts.
 func NewStore(opts ...StoreOption) (*Store, error) {
-	return New().NewStore(opts...)
+	return newStore(New(), newConfig(opts))
 }
 
-// NewStore adopts the network as the store's trust network and compiles
-// it: the adapter from the construction API. The network must not be
-// mutated directly afterwards while the store is in use from several
-// goroutines (sequential direct mutation remains supported and is
-// detected, exactly as for sessions).
+// NewStore copies the network and compiles the copy into a new store: the
+// adapter from the construction API. The store is the copy's only owner,
+// so later changes to n do not reach the store and the store's mutations
+// do not reach n.
 func (n *Network) NewStore(opts ...StoreOption) (*Store, error) {
-	var c storeConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return newStore(n, c)
+	own := &Network{inner: n.inner.Clone(), constraints: maps.Clone(n.constraints)}
+	return newStore(own, newConfig(opts))
 }
 
-// newStore builds the in-memory store for a resolved config: the shared
-// body of NewStore and OpenStore (which layers durability on afterwards).
+// newStore builds the in-memory store over a network nothing else holds:
+// the shared body of NewStore and OpenStore (which layers durability on
+// afterwards).
 func newStore(n *Network, c storeConfig) (*Store, error) {
-	s, err := n.newSession(sessionOptions{
-		Workers:          c.workers,
-		ExtraRoots:       c.extraRoots,
-		MaxDirtyFraction: c.maxDirty,
-		DisableDedup:     c.noDedup,
-	})
+	s, err := n.newSession(c)
 	if err != nil {
 		return nil, err
 	}
 	return &Store{
-		net:     n,
 		sess:    s,
 		objects: make(map[string]map[string]string),
 		objVer:  make(map[string]uint64),
@@ -159,16 +159,23 @@ func newStore(n *Network, c storeConfig) (*Store, error) {
 	}, nil
 }
 
-// Network returns the underlying facade network (read-only use — direct
-// mutation concurrent with store use is a data race; see NewStore).
-func (s *Store) Network() *Network { return s.net }
-
 // Epoch returns the sequence number of the currently published epoch. It
 // increases by one per effective trust mutation, batch, or replan.
 func (s *Store) Epoch() uint64 { return s.sess.Epoch() }
 
-// Users returns all user names known to the trust network, sorted.
-func (s *Store) Users() []string { return s.net.Users() }
+// Users returns all user names known to the trust network as of the
+// currently published epoch, sorted.
+func (s *Store) Users() []string {
+	e := s.sess.pub.Acquire()
+	defer e.Release()
+	v := e.Value().view
+	out := make([]string, v.NumUsers())
+	for i := range out {
+		out[i] = v.Name(i)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // --- trust-network mutators -------------------------------------------
 
@@ -191,12 +198,7 @@ func (s *Store) SetTrust(ctx context.Context, truster, trusted string, priority 
 }
 
 func (s *Store) applySetTrust(truster, trusted string, priority int) error {
-	return s.sess.Update(func(tx *sessionTx) error {
-		if ok, err := tx.UpdateTrust(truster, trusted, priority); err != nil || ok {
-			return err
-		}
-		return tx.AddTrust(truster, trusted, priority)
-	})
+	return s.applyUpdate(func(tx *StoreTx) error { return tx.SetTrust(truster, trusted, priority) }, nil)
 }
 
 // RemoveTrust revokes truster -> trusted and reports whether the mapping
@@ -250,7 +252,7 @@ func (s *Store) DeleteDefault(ctx context.Context, user string) error {
 	// the WAL holds exactly the effective mutation history. The existence
 	// probe is safe here — mutators serialize on dur.mu (in-memory stores
 	// skip it entirely, there is nothing to log).
-	logIt := s.dur != nil && s.net.hasDefault(user)
+	logIt := s.dur != nil && s.sess.net.hasDefault(user)
 	if err := s.sess.RemoveBelief(user); err != nil {
 		return err
 	}
@@ -266,7 +268,7 @@ func (s *Store) DeleteDefault(ctx context.Context, user string) error {
 // delta application. On a durable store the batch's effective ops are
 // logged as one WAL record when Update returns.
 type StoreTx struct {
-	tx  *sessionTx
+	s   *session   // nil once the batch's fn returns
 	rec *[]wire.Op // effective-op recorder; nil on in-memory stores
 }
 
@@ -279,14 +281,10 @@ func (t *StoreTx) record(op wire.Op) {
 
 // SetTrust is Store.SetTrust within the batch.
 func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
-	if ok, err := t.tx.UpdateTrust(truster, trusted, priority); err != nil || ok {
-		if err == nil {
-			t.record(wire.Op{Op: wire.OpSetTrust, Truster: truster, Trusted: trusted, Priority: priority})
+	if !t.s.updateTrustLocked(truster, trusted, priority) {
+		if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
+			return err
 		}
-		return err
-	}
-	if err := t.tx.AddTrust(truster, trusted, priority); err != nil {
-		return err
 	}
 	t.record(wire.Op{Op: wire.OpSetTrust, Truster: truster, Trusted: trusted, Priority: priority})
 	return nil
@@ -295,7 +293,7 @@ func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
 // AddTrust adds a new mapping, erroring if it already exists (use
 // SetTrust to upsert).
 func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
-	if err := t.tx.AddTrust(truster, trusted, priority); err != nil {
+	if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
 		return err
 	}
 	t.record(wire.Op{Op: wire.OpAddTrust, Truster: truster, Trusted: trusted, Priority: priority})
@@ -305,25 +303,25 @@ func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
 // UpdateTrust re-prioritizes an existing mapping and reports whether it
 // existed.
 func (t *StoreTx) UpdateTrust(truster, trusted string, priority int) (bool, error) {
-	ok, err := t.tx.UpdateTrust(truster, trusted, priority)
-	if err == nil && ok {
+	ok := t.s.updateTrustLocked(truster, trusted, priority)
+	if ok {
 		t.record(wire.Op{Op: wire.OpUpdateTrust, Truster: truster, Trusted: trusted, Priority: priority})
 	}
-	return ok, err
+	return ok, nil
 }
 
 // RemoveTrust is Store.RemoveTrust within the batch.
 func (t *StoreTx) RemoveTrust(truster, trusted string) (bool, error) {
-	ok, err := t.tx.RemoveTrust(truster, trusted)
-	if err == nil && ok {
+	ok := t.s.removeTrustLocked(truster, trusted)
+	if ok {
 		t.record(wire.Op{Op: wire.OpRemoveTrust, Truster: truster, Trusted: trusted})
 	}
-	return ok, err
+	return ok, nil
 }
 
 // SetDefault is Store.SetDefault within the batch.
 func (t *StoreTx) SetDefault(user, value string) error {
-	if err := t.tx.SetBelief(user, value); err != nil {
+	if err := t.s.setBeliefLocked(user, value); err != nil {
 		return err
 	}
 	t.record(wire.Op{Op: wire.OpSetBelief, User: user, Value: value})
@@ -332,10 +330,8 @@ func (t *StoreTx) SetDefault(user, value string) error {
 
 // DeleteDefault is Store.DeleteDefault within the batch.
 func (t *StoreTx) DeleteDefault(user string) error {
-	had := t.rec != nil && t.tx.s.net.hasDefault(user) // under the session writer lock
-	if err := t.tx.RemoveBelief(user); err != nil {
-		return err
-	}
+	had := t.rec != nil && t.s.net.hasDefault(user) // under the session writer lock
+	t.s.removeBeliefLocked(user)
 	if had {
 		t.record(wire.Op{Op: wire.OpRemoveBelief, User: user})
 	}
@@ -358,7 +354,7 @@ func (s *Store) Update(fn func(tx *StoreTx) error) error {
 	if s.dur != nil {
 		rec = &ops
 	}
-	ferr := s.sess.Update(func(tx *sessionTx) error { return fn(&StoreTx{tx: tx, rec: rec}) })
+	ferr := s.applyUpdate(fn, rec)
 	if len(ops) > 0 {
 		if lerr := s.logMutation(ops...); ferr == nil {
 			ferr = lerr
@@ -367,11 +363,16 @@ func (s *Store) Update(fn func(tx *StoreTx) error) error {
 	return ferr
 }
 
-// applyUpdate is Update without the durable critical section or the op
-// recorder: the recovery-replay path (ops come FROM the log) and the
-// shared body for in-memory batches.
-func (s *Store) applyUpdate(fn func(tx *StoreTx) error) error {
-	return s.sess.Update(func(tx *sessionTx) error { return fn(&StoreTx{tx: tx}) })
+// applyUpdate is Update without the durable critical section: the
+// recovery-replay path (ops come FROM the log, rec is nil) and the shared
+// body of every batch. The handle is cleared when fn returns, so a tx
+// that escapes fn cannot mutate outside the writer lock.
+func (s *Store) applyUpdate(fn func(tx *StoreTx) error, rec *[]wire.Op) error {
+	tx := &StoreTx{s: s.sess, rec: rec}
+	return s.sess.Update(func() error {
+		defer func() { tx.s = nil }()
+		return fn(tx)
+	})
 }
 
 // --- object mutators ---------------------------------------------------
@@ -936,7 +937,7 @@ func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 // Resolve resolves one ad-hoc object (not stored) against the currently
 // published epoch: beliefs overrides the network defaults per root and
 // may be nil when every root has a default.
-func (s *Store) Resolve(ctx context.Context, beliefs map[string]string) (*ObjectResolution, error) {
+func (s *Store) Resolve(ctx context.Context, beliefs map[string]string) (ObjectRow, error) {
 	return s.sess.Resolve(ctx, beliefs)
 }
 

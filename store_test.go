@@ -115,7 +115,7 @@ func TestStoreParityWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := facadeFromTN(src).newSession(sessionOptions{Workers: 2, ExtraRoots: rootNames})
+			sess, err := facadeFromTN(src).newSession(storeConfig{workers: 2, extraRoots: rootNames})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,6 +434,38 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
+// TestNetworkNewStoreOwnsCopy pins the ownership contract: NewStore
+// copies the network, so mutating the caller's network afterwards changes
+// neither the store's answers nor its compile count.
+func TestNetworkNewStoreOwnsCopy(t *testing.T) {
+	n := New()
+	n.AddTrust("a", "b", 10)
+	n.SetBelief("b", "v1")
+	st, err := n.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	compiles := st.Stats().Compiles
+	n.AddTrust("a", "c", 20) // c would outrank b for a
+	n.SetBelief("c", "v2")
+	row, err := st.Resolve(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := row.Certain("a"); !ok || v != "v1" {
+		t.Fatalf("cert(a)=%q,%v want v1: a change to the caller's network reached the store", v, ok)
+	}
+	if got := st.Stats().Compiles; got != compiles {
+		t.Fatalf("compiles=%d want %d: a change to the caller's network triggered a rebuild", got, compiles)
+	}
+	for _, u := range st.Users() {
+		if u == "c" {
+			t.Fatal("user c registered only on the caller's network is visible in the store")
+		}
+	}
+}
+
 // TestStoreRandomizedParity interleaves random trust, default, and
 // object-belief mutations through a store and checks every checkpoint
 // against a from-scratch bulkResolveWith of the effective objects
@@ -465,6 +497,9 @@ func TestStoreRandomizedParity(t *testing.T) {
 			if err != nil {
 				t.Skipf("seed network invalid: %v", err)
 			}
+			// The store mutates its own copy of n: the reference resolves
+			// that copy.
+			n = st.sess.net
 			ctx := context.Background()
 			objKey := func(i int) string { return fmt.Sprintf("obj%d", i) }
 			for i := 0; i < 4; i++ {
